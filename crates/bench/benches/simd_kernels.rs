@@ -1,6 +1,6 @@
-//! SIMD fast paths vs their scalar references for the four hottest kernels
-//! (ISSUE 6): FWHT butterflies, Gram–Schmidt inner loops (dot/axpy), the
-//! top-k threshold scan, and fused quantize+pack.
+//! SIMD fast paths vs their scalar references for the five hottest kernels:
+//! FWHT butterflies, Gram–Schmidt inner loops (dot/axpy), the top-k
+//! threshold scan, fused quantize+pack, and the Dense layer forward.
 //!
 //! Each `scalar`/`simd` pair computes bitwise-identical results on the
 //! benchmark's (finite) inputs — pinned by the dispatch proptests in
@@ -11,6 +11,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gcs_tensor::bitpack::PackedIntVec;
 use gcs_tensor::hadamard::fwht;
+use gcs_tensor::matrix::{dense_forward_into, DenseScratch};
 use gcs_tensor::simd;
 use rand::{Rng, SeedableRng};
 
@@ -143,11 +144,65 @@ fn bench_quantize_pack(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_dense_forward(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simd_kernels/dense_forward");
+    // BertMini's widest layer (512 -> 128) at the per-worker training batch
+    // and at the evaluation batch.
+    let (in_dim, out_dim) = (512, 128);
+    let w = data(out_dim * in_dim, 8);
+    let bias = data(out_dim, 9);
+    for batch in [4usize, 512] {
+        let x = data(batch * in_dim, 10);
+        let mut out = vec![0.0f32; batch * out_dim];
+        let label = format!("batch{batch}");
+        g.bench_function(BenchmarkId::new(label.as_str(), "scalar"), |b| {
+            b.iter(|| {
+                simd::dense_forward_scalar(black_box(&x), batch, in_dim, &w, &bias, &mut out);
+                out[0]
+            })
+        });
+        g.bench_function(BenchmarkId::new(label.as_str(), "simd"), |b| {
+            let mut panel = vec![0.0f32; simd::dense_panel_len(in_dim)];
+            b.iter(|| {
+                simd::dense_forward(
+                    black_box(&x),
+                    batch,
+                    in_dim,
+                    &w,
+                    &bias,
+                    &mut out,
+                    &mut panel,
+                );
+                out[0]
+            })
+        });
+        // The layer's entry point: SIMD plus the fan-out over sample panels
+        // (GCS_THREADS workers above the work threshold).
+        g.bench_function(BenchmarkId::new(label.as_str(), "simd_fanout"), |b| {
+            let mut scratch = DenseScratch::new();
+            b.iter(|| {
+                dense_forward_into(
+                    black_box(&x),
+                    batch,
+                    in_dim,
+                    &w,
+                    &bias,
+                    &mut out,
+                    &mut scratch,
+                );
+                out[0]
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_butterfly,
     bench_gram_schmidt_inner,
     bench_topk_scan,
-    bench_quantize_pack
+    bench_quantize_pack,
+    bench_dense_forward
 );
 criterion_main!(benches);

@@ -16,7 +16,8 @@
 //! Correctness is guarded by finite-difference gradient checks in the test
 //! module (the strongest test a hand-written backprop can have).
 
-use gcs_tensor::ParamArena;
+use gcs_tensor::matrix::{dense_forward_into, DenseScratch};
+use gcs_tensor::{simd, ParamArena};
 
 /// A differentiable layer viewing externally owned parameter storage.
 pub trait Layer {
@@ -67,6 +68,11 @@ pub trait Layer {
 }
 
 /// Fully connected layer `y = x W^T + b`, weights stored `[out × in]`.
+///
+/// The forward pass runs on `gcs_tensor`'s SIMD Dense kernel
+/// ([`dense_forward_into`]) and the backward pass on [`simd::axpy`]; both
+/// compute exactly the expressions of the plain loops, so their bits match
+/// the scalar reference on every path.
 #[derive(Clone)]
 pub struct Dense {
     in_dim: usize,
@@ -74,6 +80,7 @@ pub struct Dense {
     /// Initial `[weights (out*in) | bias (out)]`, consumed into the arena.
     init: Vec<f32>,
     cached_input: Vec<f32>,
+    scratch: DenseScratch,
 }
 
 impl Dense {
@@ -90,6 +97,7 @@ impl Dense {
             out_dim,
             init,
             cached_input: Vec::new(),
+            scratch: DenseScratch::new(),
         }
     }
 }
@@ -97,17 +105,11 @@ impl Dense {
 impl Layer for Dense {
     fn forward(&mut self, input: &[f32], batch: usize, params: &[f32]) -> Vec<f32> {
         assert_eq!(input.len(), batch * self.in_dim, "Dense: bad input size");
-        self.cached_input = input.to_vec();
+        self.cached_input.clear();
+        self.cached_input.extend_from_slice(input);
         let (w, b) = params.split_at(self.out_dim * self.in_dim);
         let mut out = vec![0.0f32; batch * self.out_dim];
-        for s in 0..batch {
-            let x = &input[s * self.in_dim..(s + 1) * self.in_dim];
-            let y = &mut out[s * self.out_dim..(s + 1) * self.out_dim];
-            for (o, yo) in y.iter_mut().enumerate() {
-                let row = &w[o * self.in_dim..(o + 1) * self.in_dim];
-                *yo = b[o] + row.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f32>();
-            }
-        }
+        dense_forward_into(input, batch, self.in_dim, w, b, &mut out, &mut self.scratch);
         out
     }
 
@@ -126,12 +128,10 @@ impl Layer for Dense {
             let gy = &grad_out[s * self.out_dim..(s + 1) * self.out_dim];
             let gx = &mut grad_in[s * self.in_dim..(s + 1) * self.in_dim];
             for (o, &g) in gy.iter().enumerate() {
-                let wrow = o * self.in_dim;
+                let wrow = o * self.in_dim..(o + 1) * self.in_dim;
                 // dW[o][i] += g * x[i]; dx[i] += g * W[o][i]
-                for i in 0..self.in_dim {
-                    grads[wrow + i] += g * x[i];
-                    gx[i] += g * params[wrow + i];
-                }
+                simd::axpy(g, x, &mut grads[wrow.clone()]);
+                simd::axpy(g, &params[wrow], gx);
                 grads[wlen + o] += g;
             }
         }
@@ -658,11 +658,12 @@ impl Sequential {
 
     /// Forward through all layers.
     pub fn forward(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
-        let mut act = input.to_vec();
+        let mut act: Option<Vec<f32>> = None;
         for (i, l) in self.layers.iter_mut().enumerate() {
-            act = l.forward(&act, batch, self.params.layer(i));
+            let x = act.as_deref().unwrap_or(input);
+            act = Some(l.forward(x, batch, self.params.layer(i)));
         }
-        act
+        act.unwrap_or_else(|| input.to_vec())
     }
 
     /// Backward through all layers (after a forward pass).

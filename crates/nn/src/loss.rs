@@ -9,13 +9,35 @@
 /// # Panics
 /// Panics if dimensions disagree or a target class is out of range.
 pub fn softmax_cross_entropy(logits: &[f32], targets: &[usize], classes: usize) -> (f32, Vec<f32>) {
+    let mut grad = vec![0.0f32; logits.len()];
+    let loss = softmax_ce(logits, targets, classes, Some(&mut grad));
+    (loss, grad)
+}
+
+/// The mean loss of [`softmax_cross_entropy`] alone (bitwise the same
+/// value), without materializing the gradient — the evaluation path.
+///
+/// # Panics
+/// Panics if dimensions disagree or a target class is out of range.
+pub fn cross_entropy_loss(logits: &[f32], targets: &[usize], classes: usize) -> f32 {
+    softmax_ce(logits, targets, classes, None)
+}
+
+/// Shared body: one reusable `exps` row for the whole batch; writes the
+/// gradient when `grad` is given.
+fn softmax_ce(
+    logits: &[f32],
+    targets: &[usize],
+    classes: usize,
+    mut grad: Option<&mut [f32]>,
+) -> f32 {
     let batch = targets.len();
     assert_eq!(
         logits.len(),
         batch * classes,
         "softmax_cross_entropy: logits shape"
     );
-    let mut grad = vec![0.0f32; logits.len()];
+    let mut exps = vec![0.0f32; classes];
     let mut loss = 0.0f64;
     for (s, &t) in targets.iter().enumerate() {
         assert!(
@@ -24,17 +46,21 @@ pub fn softmax_cross_entropy(logits: &[f32], targets: &[usize], classes: usize) 
         );
         let row = &logits[s * classes..(s + 1) * classes];
         let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
+        for (e, &x) in exps.iter_mut().zip(row) {
+            *e = (x - max).exp();
+        }
         let sum: f32 = exps.iter().sum();
         let log_sum = sum.ln() + max;
         loss += (log_sum - row[t]) as f64;
-        let grow = &mut grad[s * classes..(s + 1) * classes];
-        for (c, g) in grow.iter_mut().enumerate() {
-            let p = exps[c] / sum;
-            *g = (p - f32::from(c == t)) / batch as f32;
+        if let Some(grad) = grad.as_deref_mut() {
+            let grow = &mut grad[s * classes..(s + 1) * classes];
+            for (c, g) in grow.iter_mut().enumerate() {
+                let p = exps[c] / sum;
+                *g = (p - f32::from(c == t)) / batch as f32;
+            }
         }
     }
-    ((loss / batch as f64) as f32, grad)
+    (loss / batch as f64) as f32
 }
 
 /// Top-1 accuracy of `[batch × classes]` logits against targets.

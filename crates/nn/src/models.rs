@@ -14,7 +14,7 @@
 
 use crate::data::{Batch, ImageDataset, TextDataset};
 use crate::layers::{Conv3x3, Dense, Embedding, Layer, LayerNorm, MaxPool2, Relu, Sequential};
-use crate::loss::{perplexity, softmax_cross_entropy, top1_accuracy};
+use crate::loss::{cross_entropy_loss, perplexity, softmax_cross_entropy, top1_accuracy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -170,8 +170,7 @@ impl Model for VggMini {
     }
     fn evaluate(&mut self) -> f64 {
         let n = self.eval_batch.targets.len();
-        let inputs = self.eval_batch.inputs.clone();
-        let logits = self.net.forward(&inputs, n);
+        let logits = self.net.forward(&self.eval_batch.inputs, n);
         top1_accuracy(&logits, &self.eval_batch.targets, self.classes)
     }
     fn higher_is_better(&self) -> bool {
@@ -264,9 +263,8 @@ impl Model for BertMini {
     }
     fn evaluate(&mut self) -> f64 {
         let n = self.eval_batch.targets.len();
-        let inputs = self.eval_batch.inputs.clone();
-        let logits = self.net.forward(&inputs, n);
-        let (loss, _) = softmax_cross_entropy(&logits, &self.eval_batch.targets, self.vocab);
+        let logits = self.net.forward(&self.eval_batch.inputs, n);
+        let loss = cross_entropy_loss(&logits, &self.eval_batch.targets, self.vocab);
         perplexity(loss as f64)
     }
     fn higher_is_better(&self) -> bool {
@@ -352,9 +350,8 @@ impl Model for TransformerMini {
     }
     fn evaluate(&mut self) -> f64 {
         let n = self.eval_batch.targets.len();
-        let inputs = self.eval_batch.inputs.clone();
-        let logits = self.net.forward(&inputs, n);
-        let (loss, _) = softmax_cross_entropy(&logits, &self.eval_batch.targets, self.vocab);
+        let logits = self.net.forward(&self.eval_batch.inputs, n);
+        let loss = cross_entropy_loss(&logits, &self.eval_batch.targets, self.vocab);
         perplexity(loss as f64)
     }
     fn higher_is_better(&self) -> bool {

@@ -130,7 +130,8 @@ pub fn fwht_iterations(data: &mut [f32], iters: usize) {
             // zipped halves.
             for w in data.chunks_mut(window) {
                 let (lo, hi) = w.split_at_mut(h);
-                parallel::for_each_zip2_mut(lo, hi, 1 << FWHT_BLOCK_LOG2, |_, la, hb| {
+                let block = 1 << FWHT_BLOCK_LOG2;
+                parallel::for_each_chunk_pair_mut(lo, block, hi, block, |_, la, hb| {
                     butterfly_halves(la, hb);
                 });
             }

@@ -13,7 +13,7 @@
 //!   layer-offset table per model replica, so a full model gradient is a
 //!   single slice and replica sync is one `copy_from_slice`.
 //! * [`simd`] — explicit x86-64 SIMD fast paths (AVX2/SSE2, runtime
-//!   detected) for the four hottest kernels, each bitwise-identical to its
+//!   detected) for the five hottest kernels, each bitwise-identical to its
 //!   scalar reference; the scalar path runs on non-x86 targets and when
 //!   feature detection fails.
 //! * [`matrix`] — a small row-major dense [`matrix::Matrix`] with matmul and the

@@ -26,6 +26,11 @@ const MATMUL_PAR_MIN: usize = 1 << 16;
 /// Minimum element count before `transpose` fans out.
 const TRANSPOSE_PAR_MIN: usize = 1 << 16;
 
+/// Minimum multiply-adds before [`dense_forward_into`] fans out over
+/// sample panels: a 512-sample evaluation batch sits far above it, a
+/// 4-sample training batch (one panel) can never split.
+const DENSE_PAR_MIN: usize = 1 << 20;
+
 /// A dense row-major `f32` matrix.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Matrix {
@@ -311,6 +316,87 @@ pub fn matmul_bt_into(a: &[f32], ar: usize, ac: usize, b: &[f32], br: usize, out
             row_body(i, crow);
         }
     }
+}
+
+/// Reusable packing scratch for [`dense_forward_into`]: one transposed
+/// [`crate::simd::LANES`]-sample input panel per fan-out task (one panel on
+/// the sequential path). Grown on first use and reused, so a warm layer
+/// forward allocates no scratch.
+#[derive(Clone, Default, Debug)]
+pub struct DenseScratch {
+    panels: Vec<f32>,
+}
+
+impl DenseScratch {
+    /// An empty scratch; panels are sized on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Fully connected forward `out = x Wᵀ + b` over row-major `x`
+/// (`batch × in_dim`), `w` (`out_dim × in_dim`, `out_dim = b.len()`) and
+/// `out` (`batch × out_dim`), on [`crate::simd::dense_forward`].
+///
+/// Above [`DENSE_PAR_MIN`] multiply-adds the batch fans out over whole
+/// 8-sample panels, one contiguous range per thread with its own packing
+/// panel in `scratch`. The split follows the thread count — which is safe
+/// here because every output is one sample's private fold, computed the
+/// same way in any panel, so the result is bitwise-identical to
+/// [`crate::simd::dense_forward_scalar`] for any `GCS_THREADS` and either
+/// dispatch.
+///
+/// # Panics
+/// Panics if slice lengths disagree with the shapes.
+pub fn dense_forward_into(
+    x: &[f32],
+    batch: usize,
+    in_dim: usize,
+    w: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut DenseScratch,
+) {
+    use crate::simd::{dense_forward, dense_panel_len, LANES};
+    let out_dim = b.len();
+    assert_eq!(
+        x.len(),
+        batch * in_dim,
+        "dense_forward_into: input size mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        batch * out_dim,
+        "dense_forward_into: out size mismatch"
+    );
+    let panel = dense_panel_len(in_dim);
+    let n_panels = batch.div_ceil(LANES);
+    let threads = if batch * in_dim * out_dim >= DENSE_PAR_MIN {
+        parallel::max_threads().min(n_panels)
+    } else {
+        1
+    };
+    if threads <= 1 {
+        scratch.panels.resize(panel, 0.0);
+        dense_forward(x, batch, in_dim, w, b, out, &mut scratch.panels);
+        return;
+    }
+    // Work above the threshold implies in_dim, out_dim > 0 (non-zero chunks).
+    let rows_per_task = n_panels.div_ceil(threads) * LANES;
+    let tasks = batch.div_ceil(rows_per_task);
+    scratch.panels.resize(tasks * panel, 0.0);
+    parallel::for_each_chunk_pair_mut(
+        out,
+        rows_per_task * out_dim,
+        &mut scratch.panels,
+        panel,
+        |t, ys, p| {
+            let lo = t * rows_per_task;
+            let rows = ys.len() / out_dim;
+            let xs = &x[lo * in_dim..(lo + rows) * in_dim];
+            dense_forward(xs, rows, in_dim, w, b, ys, p);
+        },
+    );
 }
 
 /// Reusable scratch for Gram–Schmidt: a column-major staging buffer that

@@ -94,10 +94,12 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Marks the current (worker) thread as inside a parallel region, so nested
-/// kernel calls take their sequential path. Workers are freshly spawned
-/// scoped threads, so there is nothing to restore.
-fn enter_region() {
+/// kernel calls take their sequential path, and installs the forking
+/// thread's [`crate::simd::with_scalar_dispatch`] state. Workers are freshly
+/// spawned scoped threads, so there is nothing to restore.
+fn enter_region(scalar_simd: bool) {
     IN_REGION.with(|c| c.set(true));
+    crate::simd::force_scalar_dispatch(scalar_simd);
 }
 
 /// Flushes the worker's trace buffer before its closure returns. This must
@@ -127,13 +129,14 @@ where
         return (0..n_tasks).map(f).collect();
     }
     let mut per_thread: Vec<Vec<T>> = Vec::with_capacity(threads);
+    let scalar_simd = crate::simd::scalar_dispatch_forced();
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(threads);
         for t in 0..threads {
             let range = split_range(n_tasks, threads, t);
             let f = &f;
             handles.push(s.spawn(move || {
-                enter_region();
+                enter_region(scalar_simd);
                 let out = range.map(f).collect::<Vec<T>>();
                 exit_region();
                 out
@@ -157,12 +160,13 @@ where
         (0..n_tasks).for_each(f);
         return;
     }
+    let scalar_simd = crate::simd::scalar_dispatch_forced();
     std::thread::scope(|s| {
         for t in 0..threads {
             let range = split_range(n_tasks, threads, t);
             let f = &f;
             s.spawn(move || {
-                enter_region();
+                enter_region(scalar_simd);
                 range.for_each(f);
                 exit_region();
             });
@@ -187,6 +191,7 @@ where
         }
         return;
     }
+    let scalar_simd = crate::simd::scalar_dispatch_forced();
     std::thread::scope(|s| {
         let mut rest = data;
         for t in 0..threads {
@@ -196,7 +201,7 @@ where
             rest = tail;
             let f = &f;
             s.spawn(move || {
-                enter_region();
+                enter_region(scalar_simd);
                 for (i, chunk) in mine.chunks_mut(chunk_len).enumerate() {
                     f(range.start + i, chunk);
                 }
@@ -206,46 +211,60 @@ where
     });
 }
 
-/// Like [`for_each_chunk_mut`] over two equal-length slices split at the same
-/// fixed boundaries: `f(chunk_index, a_chunk, b_chunk)`.
+/// Like [`for_each_chunk_mut`] over two slices: splits `a` into
+/// `a_chunk`-sized chunks and `b` into `b_chunk`-sized chunks (the last of
+/// each may be short) and runs `f(chunk_index, a_chunk, b_chunk)` on the
+/// index-wise pairs — two halves split at the same boundaries, or an
+/// output range paired with the scratch its task may use. Boundaries are a
+/// function of the lengths and chunk sizes only.
 ///
 /// # Panics
-/// Panics if the slices have different lengths.
-pub fn for_each_zip2_mut<T, F>(a: &mut [T], b: &mut [T], chunk_len: usize, f: F)
-where
+/// Panics if a chunk size is zero or the slices split into different
+/// numbers of chunks.
+pub fn for_each_chunk_pair_mut<T, U, F>(
+    a: &mut [T],
+    a_chunk: usize,
+    b: &mut [U],
+    b_chunk: usize,
+    f: F,
+) where
     T: Send,
-    F: Fn(usize, &mut [T], &mut [T]) + Sync,
+    U: Send,
+    F: Fn(usize, &mut [T], &mut [U]) + Sync,
 {
-    assert_eq!(a.len(), b.len(), "for_each_zip2_mut: length mismatch");
-    assert!(chunk_len > 0, "for_each_zip2_mut: zero chunk_len");
-    let n_chunks = a.len().div_ceil(chunk_len);
+    assert!(
+        a_chunk > 0 && b_chunk > 0,
+        "for_each_chunk_pair_mut: zero chunk_len"
+    );
+    let n_chunks = a.len().div_ceil(a_chunk);
+    assert_eq!(
+        n_chunks,
+        b.len().div_ceil(b_chunk),
+        "for_each_chunk_pair_mut: chunk count mismatch"
+    );
     let threads = max_threads().min(n_chunks);
     if threads <= 1 {
-        for (i, (ca, cb)) in a
-            .chunks_mut(chunk_len)
-            .zip(b.chunks_mut(chunk_len))
-            .enumerate()
-        {
+        for (i, (ca, cb)) in a.chunks_mut(a_chunk).zip(b.chunks_mut(b_chunk)).enumerate() {
             f(i, ca, cb);
         }
         return;
     }
+    let scalar_simd = crate::simd::scalar_dispatch_forced();
     std::thread::scope(|s| {
         let mut rest_a = a;
         let mut rest_b = b;
         for t in 0..threads {
             let range = split_range(n_chunks, threads, t);
-            let elems = (range.len() * chunk_len).min(rest_a.len());
-            let (mine_a, tail_a) = rest_a.split_at_mut(elems);
-            let (mine_b, tail_b) = rest_b.split_at_mut(elems);
+            let (mine_a, tail_a) = rest_a.split_at_mut((range.len() * a_chunk).min(rest_a.len()));
+            let (mine_b, tail_b) = rest_b.split_at_mut((range.len() * b_chunk).min(rest_b.len()));
             rest_a = tail_a;
             rest_b = tail_b;
             let f = &f;
             s.spawn(move || {
-                enter_region();
+                enter_region(scalar_simd);
                 for (i, (ca, cb)) in mine_a
-                    .chunks_mut(chunk_len)
-                    .zip(mine_b.chunks_mut(chunk_len))
+                    .chunks_mut(a_chunk)
+                    .zip(mine_b.chunks_mut(b_chunk))
                     .enumerate()
                 {
                     f(range.start + i, ca, cb);
@@ -316,12 +335,12 @@ mod tests {
     }
 
     #[test]
-    fn zip2_chunks_stay_aligned() {
+    fn equal_chunk_pairs_stay_aligned() {
         for threads in [1, 2, 4] {
             let mut a: Vec<i64> = (0..517).collect();
             let mut b: Vec<i64> = (0..517).map(|i| 2 * i).collect();
             with_threads(threads, || {
-                for_each_zip2_mut(&mut a, &mut b, 37, |_, ca, cb| {
+                for_each_chunk_pair_mut(&mut a, 37, &mut b, 37, |_, ca, cb| {
                     for (x, y) in ca.iter_mut().zip(cb.iter_mut()) {
                         let s = *x + *y;
                         *x = s;
@@ -332,6 +351,36 @@ mod tests {
             assert!(a.iter().enumerate().all(|(i, &x)| x == 3 * i as i64));
             assert!(b.iter().enumerate().all(|(i, &y)| y == -3 * i as i64));
         }
+    }
+
+    #[test]
+    fn chunk_pairs_pair_index_wise_with_different_chunk_sizes() {
+        for threads in [1, 2, 3] {
+            let mut a = vec![0usize; 50]; // chunks of 12: 5 chunks, last short
+            let mut b = vec![0usize; 15]; // chunks of 3: 5 chunks
+            with_threads(threads, || {
+                for_each_chunk_pair_mut(&mut a, 12, &mut b, 3, |i, ca, cb| {
+                    ca.fill(i);
+                    cb.fill(10 + i);
+                });
+            });
+            assert!(a.iter().enumerate().all(|(j, &x)| x == j / 12));
+            assert!(b.iter().enumerate().all(|(j, &x)| x == 10 + j / 3));
+        }
+    }
+
+    #[test]
+    fn workers_inherit_forced_scalar_dispatch() {
+        let seen = with_threads(3, || {
+            crate::simd::with_scalar_dispatch(|| {
+                map_tasks(3, |_| crate::simd::scalar_dispatch_forced())
+            })
+        });
+        assert_eq!(seen, vec![true, true, true]);
+        let seen = with_threads(3, || {
+            map_tasks(3, |_| crate::simd::scalar_dispatch_forced())
+        });
+        assert_eq!(seen, vec![false, false, false]);
     }
 
     #[test]

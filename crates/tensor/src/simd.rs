@@ -1,12 +1,14 @@
-//! Explicit x86-64 SIMD fast paths for the four hottest kernels.
+//! Explicit x86-64 SIMD fast paths for the five hottest kernels.
 //!
 //! The paper's end-to-end-utility argument (§3) is that compression only
 //! pays when its *compute* overhead is small relative to the communication
-//! it saves. Profiling the simulator puts four kernels on that critical
+//! it saves. Profiling the simulator puts five kernels on that critical
 //! path: the FWHT/RHT butterflies, the fused quantize+pack bit-writer, the
-//! top-k threshold scan, and the Gram–Schmidt inner loops (the last at
-//! 39.7–47.4% of PowerSGD training time, §3.3). This module supplies the
-//! vector primitives those kernels dispatch to.
+//! top-k threshold scan, the Gram–Schmidt inner loops (the last at
+//! 39.7–47.4% of PowerSGD training time, §3.3), and the fully connected
+//! layer's forward pass, which dominates the model's own compute (every
+//! training step and every 512-sample evaluation). This module supplies
+//! the vector primitives those kernels dispatch to.
 //!
 //! **Bitwise contract.** Every primitive has a `_scalar` reference and an
 //! AVX2 variant that computes the *same expression tree*:
@@ -18,6 +20,10 @@
 //!   definition: 8 stride-8 partial accumulators (exactly the 8 lanes of a
 //!   `__m256`), folded in a fixed tree, then a sequential tail. The AVX2
 //!   path is the same computation with the partials held in one register;
+//! * [`dense_forward`] keeps the plain sequential fold of its reference
+//!   (`b[o] + Σ w·x`, summed from `-0.0` in index order) by vectorizing
+//!   *across samples*: each lane owns one sample's whole fold, so no sum is
+//!   ever split or reassociated;
 //! * [`collect_indices_above`] is pure integer compare-and-append in
 //!   ascending index order (the AVX2 path walks its compare movemask in
 //!   bit order).
@@ -37,9 +43,12 @@
 //! NaN included.
 //!
 //! Dispatch is by runtime feature detection ([`avx2_enabled`], cached); the
-//! scalar path runs on non-x86-64 targets and wherever AVX2 is absent.
-//! Tests pin `f(_) == f_scalar(_)` bit-for-bit on every primitive, so the
-//! dispatch choice is unobservable in outputs.
+//! scalar path runs on non-x86-64 targets, wherever AVX2 is absent, and
+//! inside [`with_scalar_dispatch`] (which parallel workers inherit from the
+//! thread that forked them). Tests pin `f(_) == f_scalar(_)` bit-for-bit on
+//! every primitive, so the dispatch choice is unobservable in outputs.
+
+use std::cell::Cell;
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -47,6 +56,11 @@ use std::arch::x86_64::*;
 /// Number of `f32` lanes per SIMD register (AVX2 `__m256`). The scalar
 /// reference paths use the same stride so both sides share one fold shape.
 pub const LANES: usize = 8;
+
+thread_local! {
+    /// True while [`with_scalar_dispatch`] forces the scalar references.
+    static SCALAR_ONLY: Cell<bool> = const { Cell::new(false) };
+}
 
 /// True when the running CPU supports AVX2 (cached after first query).
 pub fn avx2_enabled() -> bool {
@@ -60,6 +74,39 @@ pub fn avx2_enabled() -> bool {
     {
         false
     }
+}
+
+/// True when the primitives called on this thread take their AVX2 path:
+/// the CPU has AVX2 and no [`with_scalar_dispatch`] is active.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn use_avx2() -> bool {
+    avx2_enabled() && !scalar_dispatch_forced()
+}
+
+/// True while the current thread runs inside [`with_scalar_dispatch`].
+pub fn scalar_dispatch_forced() -> bool {
+    SCALAR_ONLY.with(Cell::get)
+}
+
+/// Sets this thread's forced-scalar flag; parallel workers call it on
+/// entry so a forked kernel dispatches like the thread that forked it.
+pub(crate) fn force_scalar_dispatch(on: bool) {
+    SCALAR_ONLY.with(|c| c.set(on));
+}
+
+/// Runs `f` with every primitive forced onto its `_scalar` reference on
+/// this thread (and on the parallel workers it forks), restoring the
+/// previous choice on exit, including on panic. The test hook that runs
+/// the scalar paths on AVX2 hardware.
+pub fn with_scalar_dispatch<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            force_scalar_dispatch(self.0);
+        }
+    }
+    let _restore = Restore(SCALAR_ONLY.with(|c| c.replace(true)));
+    f()
 }
 
 // ---------------------------------------------------------------------------
@@ -107,7 +154,7 @@ unsafe fn butterfly_avx2(lo: &mut [f32], hi: &mut [f32], c: f32) {
 pub fn butterfly(lo: &mut [f32], hi: &mut [f32], c: f32) {
     assert_eq!(lo.len(), hi.len(), "butterfly: half length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
+    if use_avx2() {
         return unsafe { butterfly_avx2(lo, hi, c) };
     }
     butterfly_scalar(lo, hi, c);
@@ -175,7 +222,7 @@ unsafe fn dot_folded_avx2(a: &[f32], b: &[f32]) -> f32 {
 pub fn dot_folded(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot_folded: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
+    if use_avx2() {
         return unsafe { dot_folded_avx2(a, b) };
     }
     dot_folded_scalar(a, b)
@@ -218,7 +265,7 @@ unsafe fn axpy_avx2(alpha: f32, x: &[f32], y: &mut [f32]) {
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
+    if use_avx2() {
         return unsafe { axpy_avx2(alpha, x, y) };
     }
     axpy_scalar(alpha, x, y);
@@ -249,7 +296,7 @@ unsafe fn scale_avx2(v: &mut [f32], alpha: f32) {
 /// `v *= alpha`, element-wise (bitwise-identical across paths).
 pub fn scale(v: &mut [f32], alpha: f32) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
+    if use_avx2() {
         return unsafe { scale_avx2(v, alpha) };
     }
     scale_scalar(v, alpha);
@@ -296,7 +343,7 @@ unsafe fn abs_keys_avx2(v: &[f32], out: &mut [u32]) {
 pub fn abs_keys_into(v: &[f32], out: &mut [u32]) {
     assert_eq!(v.len(), out.len(), "abs_keys_into: length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_enabled() {
+    if use_avx2() {
         return unsafe { abs_keys_avx2(v, out) };
     }
     abs_keys_scalar(v, out);
@@ -343,10 +390,173 @@ unsafe fn collect_indices_above_avx2(keys: &[u32], t: u32, base: usize, out: &mu
 /// while both sides stay below `2^31` — always true for abs-value keys).
 pub fn collect_indices_above(keys: &[u32], t: u32, base: usize, out: &mut Vec<usize>) {
     #[cfg(target_arch = "x86_64")]
-    if t <= i32::MAX as u32 && avx2_enabled() {
+    if t <= i32::MAX as u32 && use_avx2() {
         return unsafe { collect_indices_above_avx2(keys, t, base, out) };
     }
     collect_indices_above_scalar(keys, t, base, out);
+}
+
+// ---------------------------------------------------------------------------
+// Dense layer forward: y[s][o] = b[o] + Σ_i w[o][i]·x[s][i]
+// ---------------------------------------------------------------------------
+
+/// Outputs per register block of the AVX2 Dense kernel: four accumulator
+/// chains hide the add latency that bounds a single sequential fold.
+#[cfg(target_arch = "x86_64")]
+const DENSE_OUT_BLOCK: usize = 4;
+
+/// Length of the packing buffer [`dense_forward`] needs for `in_dim`
+/// inputs: one transposed panel of [`LANES`] samples.
+pub fn dense_panel_len(in_dim: usize) -> usize {
+    LANES * in_dim
+}
+
+/// Scalar reference for [`dense_forward`]: `out = x Wᵀ + b` over row-major
+/// `x` (`batch × in_dim`), `w` (`out_dim × in_dim`, `out_dim = b.len()`)
+/// and `out` (`batch × out_dim`). Each output is one strictly ordered fold
+/// — `Sum for f32` starts at `-0.0` and adds the `w·x` products in index
+/// order — then `b[o] + fold`.
+pub fn dense_forward_scalar(
+    x: &[f32],
+    batch: usize,
+    in_dim: usize,
+    w: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let out_dim = b.len();
+    for s in 0..batch {
+        let xs = &x[s * in_dim..(s + 1) * in_dim];
+        let y = &mut out[s * out_dim..(s + 1) * out_dim];
+        for (o, yo) in y.iter_mut().enumerate() {
+            let row = &w[o * in_dim..(o + 1) * in_dim];
+            *yo = b[o] + row.iter().zip(xs).map(|(wi, xi)| wi * xi).sum::<f32>();
+        }
+    }
+}
+
+/// Packs up to [`LANES`] sample rows of `x` transposed into `panel`
+/// (`panel[i·8 + k] = x[k][i]`), zero-filling the lanes past `rows`.
+#[cfg(target_arch = "x86_64")]
+fn pack_panel(x: &[f32], rows: usize, in_dim: usize, panel: &mut [f32]) {
+    for (i, lanes) in panel.chunks_exact_mut(LANES).enumerate() {
+        for (k, v) in lanes.iter_mut().enumerate() {
+            *v = if k < rows { x[k * in_dim + i] } else { 0.0 };
+        }
+    }
+}
+
+/// Writes `bias + acc` lane `k` to `out[k·out_dim]` for the first `rows`
+/// lanes (`out` starts at the output's column, rows are `out_dim` apart).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn store_lanes(bias: f32, acc: __m256, rows: usize, out: &mut [f32], out_dim: usize) {
+    let mut lanes = [0.0f32; LANES];
+    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), _mm256_add_ps(_mm256_set1_ps(bias), acc)) };
+    for (k, &v) in lanes[..rows].iter().enumerate() {
+        out[k * out_dim] = v;
+    }
+}
+
+/// One packed panel through the AVX2 Dense kernel: lane `k` replays the
+/// scalar fold of sample `k` exactly — `acc = -0.0`, then per input `i`
+/// `acc = acc + w[o][i]·x[k][i]` (mul, then add; never FMA), then
+/// `b[o] + acc`. Outputs are register-blocked by [`DENSE_OUT_BLOCK`], one
+/// independent accumulator per output.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dense_panel_avx2(
+    panel: &[f32],
+    rows: usize,
+    in_dim: usize,
+    w: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let out_dim = b.len();
+    let p = panel.as_ptr();
+    let blocked = out_dim - out_dim % DENSE_OUT_BLOCK;
+    let mut o = 0;
+    while o < blocked {
+        let w0 = w.as_ptr().add(o * in_dim);
+        let w1 = w0.add(in_dim);
+        let w2 = w1.add(in_dim);
+        let w3 = w2.add(in_dim);
+        let mut a0 = _mm256_set1_ps(-0.0);
+        let mut a1 = a0;
+        let mut a2 = a0;
+        let mut a3 = a0;
+        for i in 0..in_dim {
+            let xv = _mm256_loadu_ps(p.add(i * LANES));
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_set1_ps(*w0.add(i)), xv));
+            a1 = _mm256_add_ps(a1, _mm256_mul_ps(_mm256_set1_ps(*w1.add(i)), xv));
+            a2 = _mm256_add_ps(a2, _mm256_mul_ps(_mm256_set1_ps(*w2.add(i)), xv));
+            a3 = _mm256_add_ps(a3, _mm256_mul_ps(_mm256_set1_ps(*w3.add(i)), xv));
+        }
+        store_lanes(b[o], a0, rows, &mut out[o..], out_dim);
+        store_lanes(b[o + 1], a1, rows, &mut out[o + 1..], out_dim);
+        store_lanes(b[o + 2], a2, rows, &mut out[o + 2..], out_dim);
+        store_lanes(b[o + 3], a3, rows, &mut out[o + 3..], out_dim);
+        o += DENSE_OUT_BLOCK;
+    }
+    for o in blocked..out_dim {
+        let wr = w.as_ptr().add(o * in_dim);
+        let mut a = _mm256_set1_ps(-0.0);
+        for i in 0..in_dim {
+            let xv = _mm256_loadu_ps(p.add(i * LANES));
+            a = _mm256_add_ps(a, _mm256_mul_ps(_mm256_set1_ps(*wr.add(i)), xv));
+        }
+        store_lanes(b[o], a, rows, &mut out[o..], out_dim);
+    }
+}
+
+/// Fully connected forward pass `out = x Wᵀ + b`, bitwise-identical to
+/// [`dense_forward_scalar`]. The AVX2 path runs [`LANES`] samples per
+/// register: each group of 8 rows of `x` is packed transposed into
+/// `panel` (at least [`dense_panel_len`]`(in_dim)` values, caller-owned so
+/// the kernel allocates nothing), and every lane performs its sample's
+/// reference fold unchanged. The scalar path ignores `panel`.
+///
+/// # Panics
+/// Panics if slice lengths disagree with the shapes or `panel` is short.
+pub fn dense_forward(
+    x: &[f32],
+    batch: usize,
+    in_dim: usize,
+    w: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    panel: &mut [f32],
+) {
+    let out_dim = b.len();
+    assert_eq!(
+        x.len(),
+        batch * in_dim,
+        "dense_forward: input size mismatch"
+    );
+    assert_eq!(
+        w.len(),
+        out_dim * in_dim,
+        "dense_forward: weight size mismatch"
+    );
+    assert_eq!(
+        out.len(),
+        batch * out_dim,
+        "dense_forward: out size mismatch"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2() {
+        let panel = &mut panel[..dense_panel_len(in_dim)];
+        for lo in (0..batch).step_by(LANES) {
+            let rows = (batch - lo).min(LANES);
+            pack_panel(&x[lo * in_dim..(lo + rows) * in_dim], rows, in_dim, panel);
+            let ys = &mut out[lo * out_dim..(lo + rows) * out_dim];
+            unsafe { dense_panel_avx2(panel, rows, in_dim, w, b, ys) };
+        }
+        return;
+    }
+    let _ = panel; // only the AVX2 path packs
+    dense_forward_scalar(x, batch, in_dim, w, b, out);
 }
 
 #[cfg(test)]
@@ -440,6 +650,59 @@ mod tests {
             scale_scalar(&mut yb, 1.37);
             assert_eq!(bits(&ya), bits(&yb), "scale n={n}");
         }
+    }
+
+    #[test]
+    fn dense_forward_dispatch_matches_scalar_bitwise() {
+        for (batch, in_dim, out_dim) in
+            [(1, 5, 3), (4, 512, 128), (8, 7, 4), (13, 16, 9), (3, 0, 2)]
+        {
+            let x = finite_probe(batch * in_dim, 0x90);
+            let w = finite_probe(out_dim * in_dim, 0xa0);
+            let b = finite_probe(out_dim, 0xb0);
+            let mut panel = vec![0.0f32; dense_panel_len(in_dim)];
+            let mut got = vec![0.0f32; batch * out_dim];
+            let mut expect = vec![0.0f32; batch * out_dim];
+            dense_forward(&x, batch, in_dim, &w, &b, &mut got, &mut panel);
+            dense_forward_scalar(&x, batch, in_dim, &w, &b, &mut expect);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&expect), "{batch}x{in_dim}->{out_dim}");
+        }
+    }
+
+    #[test]
+    fn dense_fold_starts_from_negative_zero() {
+        // `Sum for f32` folds from -0.0; an all -0.0 product row under a
+        // -0.0 bias must stay -0.0 on every path (a +0.0 start gives +0.0).
+        assert_eq!(
+            std::iter::empty::<f32>().sum::<f32>().to_bits(),
+            (-0.0f32).to_bits()
+        );
+        let (x, w, b) = ([0.0f32; 3], [-1.0f32, -2.0, -3.0], [-0.0f32]);
+        let mut panel = vec![0.0f32; dense_panel_len(3)];
+        for scalar in [false, true] {
+            let mut y = [1.0f32];
+            let mut run = || dense_forward(&x, 1, 3, &w, &b, &mut y, &mut panel);
+            if scalar {
+                with_scalar_dispatch(run);
+            } else {
+                run();
+            }
+            assert_eq!(y[0].to_bits(), (-0.0f32).to_bits(), "scalar={scalar}");
+        }
+    }
+
+    #[test]
+    fn scalar_dispatch_is_scoped_and_restored() {
+        assert!(!scalar_dispatch_forced());
+        with_scalar_dispatch(|| {
+            assert!(scalar_dispatch_forced());
+            assert!(!use_avx2());
+        });
+        assert!(!scalar_dispatch_forced());
+        let caught = std::panic::catch_unwind(|| with_scalar_dispatch(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert!(!scalar_dispatch_forced());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use gcs_tensor::bitpack::PackedIntVec;
 use gcs_tensor::hadamard::{fwht, fwht_iterations, rht_forward, rht_inverse};
 use gcs_tensor::half::{tf32_round, F16};
-use gcs_tensor::matrix::{orthonormalize_columns, Matrix};
+use gcs_tensor::matrix::{dense_forward_into, orthonormalize_columns, DenseScratch, Matrix};
 use gcs_tensor::rng::{invert_permutation, shared_permutation, SharedSeed};
 use gcs_tensor::vector::{dot, squared_norm, top_k_indices, vnmse};
 use proptest::prelude::*;
@@ -329,5 +329,96 @@ proptest! {
         let (par_vals, par_packed) = run(threads);
         prop_assert_eq!(seq_vals, par_vals);
         prop_assert_eq!(seq_packed.words(), par_packed.words());
+    }
+}
+
+/// Dense-kernel inputs: [`salted_vec`] values with signed zeros mixed in.
+fn dense_probe(len: usize, salt: u64) -> Vec<f32> {
+    let mut v = salted_vec(len, salt);
+    for (i, x) in v.iter_mut().enumerate() {
+        match (i as u64 ^ salt) % 11 {
+            0 => *x = 0.0,
+            1 => *x = -0.0,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// Checks `dense_forward_into` against `dense_forward_scalar` bit for bit
+/// at 1, 2 and 4 threads and under forced scalar dispatch, reusing one
+/// scratch across runs (stale panels must not matter). Sample `zero_row`
+/// is all `+0.0` against an all-negative weight row 0 with bias `-0.0`, so
+/// output `[zero_row][0]` is `-0.0` only if every fold starts at `-0.0`.
+fn check_dense_kernel(batch: usize, in_dim: usize, out_dim: usize, salt: u64, zero_row: usize) {
+    let mut x = dense_probe(batch * in_dim, salt);
+    let mut w = dense_probe(out_dim * in_dim, salt ^ 0x5eed);
+    let mut b = dense_probe(out_dim, salt ^ 0xb1a5);
+    let zero_row = zero_row % batch;
+    x[zero_row * in_dim..(zero_row + 1) * in_dim].fill(0.0);
+    for wi in &mut w[..in_dim] {
+        *wi = -wi.abs() - 0.25;
+    }
+    b[0] = -0.0;
+    let mut expect = vec![0.0f32; batch * out_dim];
+    gcs_tensor::simd::dense_forward_scalar(&x, batch, in_dim, &w, &b, &mut expect);
+    assert_eq!(expect[zero_row * out_dim].to_bits(), (-0.0f32).to_bits());
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    let mut scratch = DenseScratch::new();
+    let mut run = |threads: usize, scalar: bool| {
+        let mut out = vec![f32::NAN; batch * out_dim];
+        gcs_tensor::parallel::with_threads(threads, || {
+            let mut call = || dense_forward_into(&x, batch, in_dim, &w, &b, &mut out, &mut scratch);
+            if scalar {
+                gcs_tensor::simd::with_scalar_dispatch(call);
+            } else {
+                call();
+            }
+        });
+        out
+    };
+    for (threads, scalar) in [(1, false), (2, false), (4, false), (1, true), (4, true)] {
+        let got = run(threads, scalar);
+        assert_eq!(
+            bits(&got),
+            bits(&expect),
+            "batch={batch} in={in_dim} out={out_dim} threads={threads} scalar={scalar}"
+        );
+    }
+}
+
+// The SIMD Dense kernel against its scalar reference: batch tails that are
+// not multiples of the 8-sample panel, in/out dimensions off the 4-output
+// register block and the 8-lane width (in_dim 0 included), signed zeros,
+// and an all-zero row under a `-0.0` bias.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dense_kernel_matches_scalar_reference_bitwise(
+        batch in 1usize..=37,
+        in_dim in 0usize..=70,
+        out_dim in 1usize..=19,
+        salt in any::<u64>(),
+        zero_row in 0usize..37,
+    ) {
+        check_dense_kernel(batch, in_dim, out_dim, salt, zero_row);
+    }
+}
+
+// Same contract above the kernel's fan-out threshold (2^20 multiply-adds):
+// 33-37 samples split over 2 or 4 threads at panel boundaries.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn dense_kernel_fan_out_matches_scalar_reference_bitwise(
+        batch in 33usize..=37,
+        in_dim in 250usize..=300,
+        out_dim in 130usize..=140,
+        salt in any::<u64>(),
+        zero_row in 0usize..37,
+    ) {
+        check_dense_kernel(batch, in_dim, out_dim, salt, zero_row);
     }
 }

@@ -6,7 +6,7 @@ use gradient_utility::core::schemes::powersgd::PowerSgd;
 use gradient_utility::core::schemes::thc::Thc;
 use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::ddp::experiments::Task;
-use gradient_utility::ddp::{Trainer, TrainerConfig};
+use gradient_utility::ddp::{param_checksum, Trainer, TrainerConfig};
 use gradient_utility::gpusim::DeviceSpec;
 
 fn short_cfg(task: Task, rounds: u64) -> TrainerConfig {
@@ -111,5 +111,33 @@ fn early_stopping_terminates_a_converged_run() {
         log.rounds < 2000,
         "early stopping never fired in {} rounds",
         log.rounds
+    );
+}
+
+/// Pins the training arithmetic bit for bit: 60 rounds of BertMini under
+/// TopKC (2 bits/coord), evaluating every 5 rounds, must land on exactly
+/// these parameter and final-metric bits at any `GCS_THREADS`. Kernel
+/// rewrites (SIMD layers, fan-out, buffer reuse) may change speed, never a
+/// bit of this run.
+#[test]
+fn bert_topkc_run_is_bitwise_pinned() {
+    let task = Task::Bert;
+    let cfg = TrainerConfig {
+        max_rounds: 60,
+        eval_every: 5,
+        ..task.trainer_config()
+    };
+    let mut model = task.build_model(cfg.seed);
+    let mut scheme = TopKC::paper_config(2.0, cfg.n_workers);
+    let log = Trainer::new(cfg).train(model.as_mut(), &mut scheme, 1.0);
+    assert_eq!(
+        param_checksum(model.as_ref()),
+        0x9667_4be0_8a9c_ab44,
+        "param_checksum moved"
+    );
+    assert_eq!(
+        log.final_metric.to_bits(),
+        0x4046_b87f_8ba9_3589,
+        "final metric bits moved"
     );
 }
