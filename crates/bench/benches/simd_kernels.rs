@@ -1,14 +1,17 @@
-//! SIMD fast paths vs their scalar references for the five hottest kernels:
+//! SIMD fast paths vs their scalar references for the six hottest kernels:
 //! FWHT butterflies, Gram–Schmidt inner loops (dot/axpy), the top-k
-//! threshold scan, fused quantize+pack, and the Dense layer forward.
+//! threshold scan, fused quantize+pack, the Dense layer forward, and the
+//! binary16 encode/decode/sum of the FP16 baseline.
 //!
 //! Each `scalar`/`simd` pair computes bitwise-identical results on the
 //! benchmark's (finite) inputs — pinned by the dispatch proptests in
 //! `gcs_tensor::simd` — so the ratio is pure instruction-level speedup. On
-//! hardware without AVX2 the `simd` rows dispatch to the scalar body and the
-//! pairs converge, which is itself worth seeing in a report.
+//! hardware without AVX2 (or, for the binary16 rows, without F16C) the
+//! `simd` rows dispatch to the scalar body and the pairs converge, which is
+//! itself worth seeing in a report.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use gcs_nn::Model;
 use gcs_tensor::bitpack::PackedIntVec;
 use gcs_tensor::hadamard::fwht;
 use gcs_tensor::matrix::{dense_forward_into, DenseScratch};
@@ -197,12 +200,71 @@ fn bench_dense_forward(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_f16(c: &mut Criterion) {
+    let mut g = c.benchmark_group("simd_kernels/f16");
+    // One BertMini gradient: what the FP16 baseline encodes, sums per ring
+    // hop and decodes for every worker, every round.
+    let d = gcs_nn::BertMini::new(0).param_count();
+    let v = data(d, 11);
+    let mut halves = vec![gcs_tensor::F16::ZERO; d];
+    simd::f16_encode_scalar(&v, &mut halves);
+    let mut partner = vec![gcs_tensor::F16::ZERO; d];
+    simd::f16_encode_scalar(&data(d, 12), &mut partner);
+    let mut out = vec![0.0f32; d];
+    let label = format!("d{d}");
+    g.bench_function(BenchmarkId::new("encode", format!("{label}/scalar")), |b| {
+        let mut h = halves.clone();
+        b.iter(|| {
+            simd::f16_encode_scalar(black_box(&v), black_box(&mut h));
+            h[0]
+        })
+    });
+    g.bench_function(BenchmarkId::new("encode", format!("{label}/f16c")), |b| {
+        let mut h = halves.clone();
+        b.iter(|| {
+            simd::f16_encode(black_box(&v), black_box(&mut h));
+            h[0]
+        })
+    });
+    g.bench_function(BenchmarkId::new("decode", format!("{label}/scalar")), |b| {
+        b.iter(|| {
+            simd::f16_decode_scalar(black_box(&halves), black_box(&mut out));
+            out[0]
+        })
+    });
+    g.bench_function(BenchmarkId::new("decode", format!("{label}/f16c")), |b| {
+        b.iter(|| {
+            simd::f16_decode(black_box(&halves), black_box(&mut out));
+            out[0]
+        })
+    });
+    // The accumulator is reset each iteration so the sums stay finite.
+    g.bench_function(BenchmarkId::new("add", format!("{label}/scalar")), |b| {
+        let mut acc = halves.clone();
+        b.iter(|| {
+            acc.copy_from_slice(&halves);
+            simd::f16_add_scalar(black_box(&mut acc), black_box(&partner));
+            acc[0]
+        })
+    });
+    g.bench_function(BenchmarkId::new("add", format!("{label}/f16c")), |b| {
+        let mut acc = halves.clone();
+        b.iter(|| {
+            acc.copy_from_slice(&halves);
+            simd::f16_add(black_box(&mut acc), black_box(&partner));
+            acc[0]
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_butterfly,
     bench_gram_schmidt_inner,
     bench_topk_scan,
     bench_quantize_pack,
-    bench_dense_forward
+    bench_dense_forward,
+    bench_f16
 );
 criterion_main!(benches);

@@ -110,6 +110,15 @@ impl ReduceOp<F16> for F16Sum {
     fn reduce(&self, acc: &mut F16, x: &F16) {
         *acc = acc.add_f16(*x);
     }
+
+    /// The slice form runs on [`gcs_tensor::simd::f16_add`] (F16C where
+    /// available), bitwise-identical to folding [`F16Sum::reduce`] over
+    /// the pair. Every executor reduces through here, so ring, tree,
+    /// reduce-scatter, parameter server and the per-worker transport
+    /// bodies all take the fast path.
+    fn reduce_slice(&self, acc: &mut [F16], xs: &[F16]) {
+        gcs_tensor::simd::f16_add(acc, xs);
+    }
 }
 
 /// Plain i32 addition (for widened integer payloads where overflow is
@@ -218,6 +227,27 @@ mod tests {
         let mut acc = F16::from_f32(2048.0);
         op.reduce(&mut acc, &F16::from_f32(1.0));
         assert_eq!(acc.to_f32(), 2048.0);
+    }
+
+    #[test]
+    fn f16_sum_reduce_slice_matches_per_element_reduce() {
+        // Every half against a partner stream that cycles through signed
+        // zeros, infinities, NaNs, MAX and subnormals, at a length that
+        // leaves a tail past the 8-lane blocks.
+        let partners = [
+            0x0000u16, 0x8000, 0x7c00, 0xfc00, 0x7e00, 0x7bff, 0x0001, 0x3c00,
+        ];
+        let acc0: Vec<F16> = (0..=u16::MAX).map(F16).chain([F16(0x3555)]).collect();
+        let xs: Vec<F16> = (0..acc0.len())
+            .map(|i| F16(partners[(i / 3) % partners.len()]))
+            .collect();
+        let mut sliced = acc0.clone();
+        F16Sum.reduce_slice(&mut sliced, &xs);
+        let mut folded = acc0;
+        for (a, x) in folded.iter_mut().zip(&xs) {
+            F16Sum.reduce(a, x);
+        }
+        assert_eq!(sliced, folded);
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! precision cost is real in our experiments too.
 
 use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundContext};
-use gcs_collectives::{ring_all_reduce, F16Sum, F32Sum};
+use gcs_collectives::{ring_all_reduce_into, F16Sum, F32Sum, RingScratch};
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
-use gcs_tensor::half::{decode_f16, encode_f16};
+use gcs_tensor::half::F16;
+use gcs_tensor::pool::WorkerBufs;
+use gcs_tensor::simd::{f16_decode, f16_encode};
 
 /// Communication precision of an uncompressed baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,10 +34,21 @@ impl CommPrecision {
     }
 }
 
+/// Round scratch owned across rounds (zero-allocation steady state): the
+/// per-worker wire buffers and ring staging of whichever precision runs.
+#[derive(Clone, Debug, Default)]
+struct BaselineScratch {
+    f32_bufs: WorkerBufs<f32>,
+    f16_bufs: WorkerBufs<F16>,
+    ring_f32: RingScratch<f32>,
+    ring_f16: RingScratch<F16>,
+}
+
 /// An uncompressed baseline at the given communication precision.
 #[derive(Clone, Debug)]
 pub struct PrecisionBaseline {
     precision: CommPrecision,
+    scratch: BaselineScratch,
 }
 
 impl PrecisionBaseline {
@@ -43,6 +56,7 @@ impl PrecisionBaseline {
     pub fn fp32() -> PrecisionBaseline {
         PrecisionBaseline {
             precision: CommPrecision::Fp32,
+            scratch: BaselineScratch::default(),
         }
     }
 
@@ -50,6 +64,7 @@ impl PrecisionBaseline {
     pub fn fp16() -> PrecisionBaseline {
         PrecisionBaseline {
             precision: CommPrecision::Fp16,
+            scratch: BaselineScratch::default(),
         }
     }
 
@@ -67,44 +82,54 @@ impl CompressionScheme for PrecisionBaseline {
         }
     }
 
-    fn aggregate_round(&mut self, grads: &[Vec<f32>], _ctx: &RoundContext) -> AggregationOutcome {
+    fn aggregate_round(&mut self, grads: &[Vec<f32>], ctx: &RoundContext) -> AggregationOutcome {
+        let mut out = AggregationOutcome::default();
+        self.aggregate_round_into(grads, ctx, &mut out);
+        out
+    }
+
+    fn aggregate_round_into(
+        &mut self,
+        grads: &[Vec<f32>],
+        _ctx: &RoundContext,
+        out: &mut AggregationOutcome,
+    ) {
         let _round_timer = gcs_metrics::timer("scheme/fp16_baseline/round_ns");
         let n = grads.len();
         let d = grads[0].len();
+        let scratch = &mut self.scratch;
+        let mean = &mut out.mean_estimate;
+        mean.clear();
         match self.precision {
             CommPrecision::Fp32 => {
-                let mut bufs: Vec<Vec<f32>> = grads.to_vec();
-                let traffic = ring_all_reduce(&mut bufs, &F32Sum, 4.0);
-                let mut mean = bufs.into_iter().next().expect("no workers");
-                gcs_tensor::vector::scale(&mut mean, 1.0 / n as f32);
-                AggregationOutcome {
-                    mean_estimate: mean,
-                    comm: vec![CommEvent {
-                        collective: Collective::RingAllReduce,
-                        payload_bytes: 4.0 * d as f64,
-                    }],
-                    traffic,
-                }
+                let bufs = scratch.f32_bufs.copy_from(grads);
+                ring_all_reduce_into(bufs, &F32Sum, 4.0, &mut scratch.ring_f32, &mut out.traffic);
+                mean.extend_from_slice(&bufs[0]);
+                gcs_tensor::vector::scale(mean, 1.0 / n as f32);
             }
             CommPrecision::Fp16 => {
-                let mut bufs: Vec<Vec<gcs_tensor::F16>> = {
+                let bufs = scratch.f16_bufs.prepare(n);
+                {
                     let _s = gcs_trace::span(gcs_trace::Phase::Compress, "encode_f16");
-                    grads.iter().map(|g| encode_f16(g)).collect()
-                };
-                let traffic = ring_all_reduce(&mut bufs, &F16Sum, 2.0);
+                    for (buf, g) in bufs.iter_mut().zip(grads) {
+                        buf.resize(d, F16::ZERO);
+                        f16_encode(g, buf);
+                    }
+                }
+                ring_all_reduce_into(bufs, &F16Sum, 2.0, &mut scratch.ring_f16, &mut out.traffic);
                 let _s = gcs_trace::span(gcs_trace::Phase::Decompress, "decode_f16");
-                let sum = decode_f16(&bufs[0]);
-                let mean: Vec<f32> = sum.iter().map(|s| s / n as f32).collect();
-                AggregationOutcome {
-                    mean_estimate: mean,
-                    comm: vec![CommEvent {
-                        collective: Collective::RingAllReduce,
-                        payload_bytes: 2.0 * d as f64,
-                    }],
-                    traffic,
+                mean.resize(d, 0.0);
+                f16_decode(&bufs[0], mean);
+                for m in mean.iter_mut() {
+                    *m /= n as f32;
                 }
             }
         }
+        out.comm.clear();
+        out.comm.push(CommEvent {
+            collective: Collective::RingAllReduce,
+            payload_bytes: self.precision.bits() / 8.0 * d as f64,
+        });
     }
 
     fn all_reduce_compatible(&self) -> bool {
@@ -185,6 +210,27 @@ mod tests {
         let t16 = s16.aggregate_round(&g, &RoundContext::new(1, 0)).traffic;
         // Within rounding of ceil() per segment.
         assert!(t16.total() * 2 <= t32.total() + 16);
+    }
+
+    #[test]
+    fn pooled_rounds_match_fresh_rounds_bitwise() {
+        // A reused scheme and outcome (pooled buffers sized by earlier,
+        // larger rounds) must give exactly what a fresh scheme gives.
+        let big: Vec<Vec<f32>> = (0..4)
+            .map(|w| (0..37).map(|i| (w * 37 + i) as f32 * 0.37 - 20.0).collect())
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for fresh in [PrecisionBaseline::fp16, PrecisionBaseline::fp32] {
+            let mut pooled = fresh();
+            let mut out = AggregationOutcome::default();
+            pooled.aggregate_round_into(&big, &RoundContext::new(1, 0), &mut out);
+            pooled.aggregate_round_into(&grads(), &RoundContext::new(1, 1), &mut out);
+            let want = fresh().aggregate_round(&grads(), &RoundContext::new(1, 1));
+            assert_eq!(bits(&out.mean_estimate), bits(&want.mean_estimate));
+            assert_eq!(out.comm.len(), 1);
+            assert_eq!(out.comm[0].payload_bytes, want.comm[0].payload_bytes);
+            assert_eq!(out.traffic.total(), want.traffic.total());
+        }
     }
 
     #[test]

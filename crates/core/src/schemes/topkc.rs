@@ -26,9 +26,10 @@ use crate::scheme::{AggregationOutcome, CommEvent, CompressionScheme, RoundConte
 use gcs_collectives::{ring_all_reduce_into, F16Sum, RingScratch, Traffic};
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
-use gcs_tensor::half::F16;
+use gcs_tensor::half::{round_trip_f16, F16};
 use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::{shared_permutation, SharedSeed, Stream};
+use gcs_tensor::simd::{f16_decode, f16_encode};
 use gcs_tensor::vector::TopKScratch;
 
 /// Round scratch owned across rounds (zero-allocation steady state): EF
@@ -201,10 +202,8 @@ impl CompressionScheme for TopKC {
             &mut out.traffic,
         );
         scratch.agg_norms.clear();
-        scratch
-            .agg_norms
-            .extend(scratch.norms.slice(n)[0].iter().map(|x| x.to_f32()));
-        debug_assert_eq!(scratch.agg_norms.len(), chunks);
+        scratch.agg_norms.resize(chunks, 0.0);
+        f16_decode(&scratch.norms.slice(n)[0], &mut scratch.agg_norms);
 
         // Stage 2: consensus top-J chunks (identical on every worker).
         {
@@ -234,7 +233,9 @@ impl CompressionScheme for TopKC {
                 for &p in selected {
                     let lo = p * chunk;
                     let hi = (lo + chunk).min(d);
-                    buf.extend(c[lo..hi].iter().map(|&v| F16::from_f32(v)));
+                    let start = buf.len();
+                    buf.resize(start + hi - lo, F16::ZERO);
+                    f16_encode(&c[lo..hi], &mut buf[start..]);
                 }
             });
         }
@@ -257,10 +258,12 @@ impl CompressionScheme for TopKC {
             for &p in &scratch.selected {
                 let lo = p * chunk;
                 let hi = (lo + chunk).min(d);
-                for m in &mut mean[lo..hi] {
-                    *m = summed[cursor].to_f32() / n as f32;
-                    cursor += 1;
+                let m = &mut mean[lo..hi];
+                f16_decode(&summed[cursor..cursor + m.len()], m);
+                for x in m.iter_mut() {
+                    *x /= n as f32;
                 }
+                cursor += hi - lo;
             }
             if let Some(p) = &perm {
                 let unperm = &mut scratch.unperm;
@@ -293,9 +296,8 @@ impl CompressionScheme for TopKC {
                     for &p in selected {
                         let lo = p * chunk;
                         let hi = (lo + chunk).min(d);
-                        for pos in lo..hi {
-                            sent[pos] = F16::from_f32(c[pos]).to_f32();
-                        }
+                        sent[lo..hi].copy_from_slice(&c[lo..hi]);
+                        round_trip_f16(&mut sent[lo..hi]);
                     }
                 });
             }

@@ -24,9 +24,10 @@ use gcs_collectives::{
 };
 use gcs_gpusim::{ops, DeviceSpec};
 use gcs_netsim::Collective;
-use gcs_tensor::half::F16;
+use gcs_tensor::half::{round_trip_f16, F16};
 use gcs_tensor::pool::WorkerBufs;
 use gcs_tensor::rng::worker_rng;
+use gcs_tensor::simd::f16_decode;
 use gcs_tensor::vector::TopKScratch;
 use rand::Rng;
 
@@ -148,9 +149,8 @@ impl CompressionScheme for TopKCQ {
             &mut out.traffic,
         );
         scratch.agg_norms.clear();
-        scratch
-            .agg_norms
-            .extend(scratch.norms.slice(n)[0].iter().map(|x| x.to_f32()));
+        scratch.agg_norms.resize(chunks, 0.0);
+        f16_decode(&scratch.norms.slice(n)[0], &mut scratch.agg_norms);
         gcs_tensor::vector::top_k_indices_into(
             &scratch.agg_norms,
             j,
@@ -177,10 +177,11 @@ impl CompressionScheme for TopKCQ {
             let gathered = scratch.gathered.slice(n);
             let scale_bufs = scratch.scales.prepare(n);
             for (buf, g) in scale_bufs.iter_mut().zip(gathered) {
-                buf.extend(g.chunks(chunk).map(|ch| {
-                    let m = ch.iter().fold(0.0f32, |a, &x| a.max(x.abs()));
-                    F16::from_f32(m).to_f32()
-                }));
+                buf.extend(
+                    g.chunks(chunk)
+                        .map(|ch| ch.iter().fold(0.0f32, |a, &x| a.max(x.abs()))),
+                );
+                round_trip_f16(buf);
             }
         }
         ring_all_reduce_into(

@@ -5,6 +5,9 @@
 //! negligible accuracy loss (§2.2, Table 2). To model that faithfully without
 //! hardware support we implement the conversions in software, bit-exactly,
 //! with round-to-nearest-even — the same rounding NVIDIA tensor cores use.
+//! These per-value conversions are the reference; the slice helpers below
+//! run on [`crate::simd`]'s binary16 kernels, which take an F16C fast path
+//! where the CPU has one and produce the same bits.
 //!
 //! Three formats are provided:
 //!
@@ -13,12 +16,18 @@
 //! * [`tf32_round`] — NVIDIA TF32: an f32 whose mantissa is truncated to
 //!   10 bits (19-bit total precision); used to model TF32 *training* math.
 
+use crate::simd;
+
 /// IEEE-754 binary16 stored as its raw bit pattern.
 ///
 /// All arithmetic is performed by converting to `f32`, operating, and
 /// converting back; this matches how mixed-precision training accumulates in
 /// higher precision but *stores and communicates* in 16 bits.
+///
+/// `repr(transparent)`: a `[F16]` has exactly the layout of a `[u16]`,
+/// which the SIMD conversion kernels in [`crate::simd`] rely on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[repr(transparent)]
 pub struct F16(pub u16);
 
 /// bfloat16 stored as its raw bit pattern (top 16 bits of an f32).
@@ -195,10 +204,15 @@ fn f16_bits_to_f32(h: u16) -> f32 {
 /// Rounds every element of a slice through binary16 (lossy round-trip).
 ///
 /// This is the "communicate in FP16" operator: after this call the slice
-/// contains exactly the values the receiving side would decode.
+/// contains exactly the values the receiving side would decode. Runs on
+/// [`simd::f16_encode`]/[`simd::f16_decode`] through a stack buffer, so it
+/// allocates nothing.
 pub fn round_trip_f16(values: &mut [f32]) {
-    for v in values.iter_mut() {
-        *v = F16::from_f32(*v).to_f32();
+    let mut halves = [F16::ZERO; 64];
+    for chunk in values.chunks_mut(halves.len()) {
+        let h = &mut halves[..chunk.len()];
+        simd::f16_encode(chunk, h);
+        simd::f16_decode(h, chunk);
     }
 }
 
@@ -209,14 +223,20 @@ pub fn round_trip_tf32(values: &mut [f32]) {
     }
 }
 
-/// Encodes a slice of f32 into binary16 bit patterns.
+/// Encodes a slice of f32 into binary16 bit patterns ([`simd::f16_encode`]
+/// into a fresh vector).
 pub fn encode_f16(values: &[f32]) -> Vec<F16> {
-    values.iter().map(|&v| F16::from_f32(v)).collect()
+    let mut out = vec![F16::ZERO; values.len()];
+    simd::f16_encode(values, &mut out);
+    out
 }
 
-/// Decodes binary16 bit patterns into f32.
+/// Decodes binary16 bit patterns into f32 ([`simd::f16_decode`] into a
+/// fresh vector).
 pub fn decode_f16(values: &[F16]) -> Vec<f32> {
-    values.iter().map(|v| v.to_f32()).collect()
+    let mut out = vec![0.0; values.len()];
+    simd::f16_decode(values, &mut out);
+    out
 }
 
 #[cfg(test)]

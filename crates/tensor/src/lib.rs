@@ -5,17 +5,20 @@
 //! This crate provides everything the compression schemes and the neural-network
 //! substrate need that would normally come from a GPU math library:
 //!
-//! * [`half`] — software IEEE-754 binary16 ([`half::F16`]), bfloat16
+//! * [`half`] — bit-exact IEEE-754 binary16 ([`half::F16`]), bfloat16
 //!   ([`half::Bf16`]) and NVIDIA TF32 rounding, with round-to-nearest-even
-//!   semantics. Gradient *communication* precision is modelled bit-exactly.
+//!   semantics. Gradient *communication* precision is modelled bit-exactly;
+//!   binary16 slices convert on [`simd`]'s F16C fast path where available.
 //! * [`vector`] — flat `f32` vector kernels (norms, dot, axpy, reductions).
 //! * [`arena`] — [`arena::ParamArena`]: one contiguous `Box<[f32]>` +
 //!   layer-offset table per model replica, so a full model gradient is a
 //!   single slice and replica sync is one `copy_from_slice`.
 //! * [`simd`] — explicit x86-64 SIMD fast paths (AVX2/SSE2, runtime
-//!   detected) for the five hottest kernels, each bitwise-identical to its
-//!   scalar reference; the scalar path runs on non-x86 targets and when
-//!   feature detection fails.
+//!   detected) for the six hottest kernels, each bitwise-identical to its
+//!   scalar reference; the binary16 conversions and sum dispatch on AVX2 +
+//!   F16C, and the encode and sum redo any 8-lane block whose `f32` value
+//!   is NaN on the scalar path (the hardware's NaN payload differs). The
+//!   scalar path runs on non-x86 targets and when feature detection fails.
 //! * [`matrix`] — a small row-major dense [`matrix::Matrix`] with matmul and the
 //!   modified Gram–Schmidt orthogonalization that PowerSGD depends on.
 //! * [`hadamard`] — the (randomized) fast Walsh–Hadamard transform, both the

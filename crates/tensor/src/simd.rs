@@ -1,14 +1,16 @@
-//! Explicit x86-64 SIMD fast paths for the five hottest kernels.
+//! Explicit x86-64 SIMD fast paths for the six hottest kernels.
 //!
 //! The paper's end-to-end-utility argument (§3) is that compression only
 //! pays when its *compute* overhead is small relative to the communication
-//! it saves. Profiling the simulator puts five kernels on that critical
+//! it saves. Profiling the simulator puts six kernels on that critical
 //! path: the FWHT/RHT butterflies, the fused quantize+pack bit-writer, the
 //! top-k threshold scan, the Gram–Schmidt inner loops (the last at
-//! 39.7–47.4% of PowerSGD training time, §3.3), and the fully connected
+//! 39.7–47.4% of PowerSGD training time, §3.3), the fully connected
 //! layer's forward pass, which dominates the model's own compute (every
-//! training step and every 512-sample evaluation). This module supplies
-//! the vector primitives those kernels dispatch to.
+//! training step and every 512-sample evaluation), and the binary16
+//! conversions and per-hop binary16 sum of the FP16 baseline (§2.2) and
+//! TopKC's chunk all-reduce. This module supplies the vector primitives
+//! those kernels dispatch to.
 //!
 //! **Bitwise contract.** Every primitive has a `_scalar` reference and an
 //! AVX2 variant that computes the *same expression tree*:
@@ -26,7 +28,20 @@
 //!   ever split or reassociated;
 //! * [`collect_indices_above`] is pure integer compare-and-append in
 //!   ascending index order (the AVX2 path walks its compare movemask in
-//!   bit order).
+//!   bit order);
+//! * the binary16 primitives ([`f16_encode`], [`f16_decode`], [`f16_add`])
+//!   run on the F16C conversion instructions (dispatched on AVX2 *and*
+//!   F16C, [`f16c_enabled`]). `VCVTPS2PH` with an explicit
+//!   round-to-nearest-even immediate and `VCVTPH2PS` compute exactly the
+//!   software conversions of [`crate::half`] on every non-NaN value —
+//!   normals, subnormals, signed zeros, overflow to infinity — and the sum
+//!   is one plain `f32` add, as in [`F16::add_f16`]. Decoding NaN agrees
+//!   too (both quiet the NaN and keep its payload; the test sweeps all
+//!   65,536 halves). Encoding NaN is the one difference: the hardware
+//!   writes the quiet-NaN payload `0x7e00` where the software conversion
+//!   writes `0x7e01`. Any 8-lane block whose `f32` value (encode input or
+//!   sum) is NaN is therefore redone by the scalar reference, which makes
+//!   these three primitives bit-exact on *all* inputs.
 //!
 //! No FMA is used anywhere: fused multiply-add skips the intermediate
 //! rounding step and would break scalar/SIMD bitwise identity.
@@ -39,15 +54,18 @@
 //! are free to pick different NaNs on the scalar and packed paths (observed:
 //! `0x7FC00000` vs `0xFFC00000` for the same `inf × -0`). Gradient data is
 //! always finite, so this never affects the kernels; the integer primitives
-//! ([`abs_keys_into`], [`collect_indices_above`]) are exact on *all* inputs,
-//! NaN included.
+//! ([`abs_keys_into`], [`collect_indices_above`]) and the binary16
+//! primitives (through their NaN-block fallback) are exact on *all*
+//! inputs, NaN included.
 //!
-//! Dispatch is by runtime feature detection ([`avx2_enabled`], cached); the
-//! scalar path runs on non-x86-64 targets, wherever AVX2 is absent, and
-//! inside [`with_scalar_dispatch`] (which parallel workers inherit from the
+//! Dispatch is by runtime feature detection ([`avx2_enabled`],
+//! [`f16c_enabled`], both cached); the scalar path runs on non-x86-64
+//! targets, wherever the features are absent, and inside
+//! [`with_scalar_dispatch`] (which parallel workers inherit from the
 //! thread that forked them). Tests pin `f(_) == f_scalar(_)` bit-for-bit on
 //! every primitive, so the dispatch choice is unobservable in outputs.
 
+use crate::half::F16;
 use std::cell::Cell;
 
 #[cfg(target_arch = "x86_64")]
@@ -81,6 +99,32 @@ pub fn avx2_enabled() -> bool {
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn use_avx2() -> bool {
     avx2_enabled() && !scalar_dispatch_forced()
+}
+
+/// True when the running CPU supports AVX2 and F16C, the binary16
+/// primitives' fast path (cached after first query).
+pub fn f16c_enabled() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::sync::OnceLock;
+        static ENABLED: OnceLock<bool> = OnceLock::new();
+        *ENABLED.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("f16c")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// True when the binary16 primitives called on this thread take their
+/// F16C path: the CPU has AVX2 and F16C and no [`with_scalar_dispatch`] is
+/// active.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+fn use_f16c() -> bool {
+    f16c_enabled() && !scalar_dispatch_forced()
 }
 
 /// True while the current thread runs inside [`with_scalar_dispatch`].
@@ -559,6 +603,169 @@ pub fn dense_forward(
     dense_forward_scalar(x, batch, in_dim, w, b, out);
 }
 
+// ---------------------------------------------------------------------------
+// binary16: encode, decode and the per-hop FP16 sum
+// ---------------------------------------------------------------------------
+
+/// Scalar reference for [`f16_encode`]: `dst[i] = F16::from_f32(src[i])`.
+pub fn f16_encode_scalar(src: &[f32], dst: &mut [F16]) {
+    for (h, &v) in dst.iter_mut().zip(src) {
+        *h = F16::from_f32(v);
+    }
+}
+
+/// Scalar reference for [`f16_decode`]: `dst[i] = src[i].to_f32()`.
+pub fn f16_decode_scalar(src: &[F16], dst: &mut [f32]) {
+    for (v, h) in dst.iter_mut().zip(src) {
+        *v = h.to_f32();
+    }
+}
+
+/// Scalar reference for [`f16_add`]: `acc[i] = acc[i].add_f16(x[i])`, i.e.
+/// `F16::from_f32(acc[i].to_f32() + x[i].to_f32())`.
+pub fn f16_add_scalar(acc: &mut [F16], x: &[F16]) {
+    for (a, b) in acc.iter_mut().zip(x) {
+        *a = a.add_f16(*b);
+    }
+}
+
+/// True when any lane of `v` is NaN.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn any_nan(v: __m256) -> bool {
+    _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v)) != 0
+}
+
+/// Loads 8 halves as the `u16` lanes of an `__m128i`.
+///
+/// # Safety
+/// `p` must be valid for reading 8 consecutive `F16`s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn load_halves(p: *const F16) -> __m128i {
+    // `F16` is `repr(transparent)` over `u16`, so 8 halves are 16 bytes.
+    _mm_loadu_si128(p as *const __m128i)
+}
+
+/// Stores 8 `f32` lanes as halves with round-to-nearest-even.
+///
+/// # Safety
+/// `p` must be valid for writing 8 consecutive `F16`s.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn store_halves(p: *mut F16, v: __m256) {
+    _mm_storeu_si128(
+        p as *mut __m128i,
+        _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(v),
+    );
+}
+
+/// # Safety
+/// The CPU must support AVX2 and F16C, and `dst.len() >= src.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn f16_encode_f16c(src: &[f32], dst: &mut [F16]) {
+    let n = src.len();
+    let main = n - n % LANES;
+    let mut i = 0;
+    while i < main {
+        let v = _mm256_loadu_ps(src.as_ptr().add(i));
+        if any_nan(v) {
+            f16_encode_scalar(&src[i..i + LANES], &mut dst[i..i + LANES]);
+        } else {
+            store_halves(dst.as_mut_ptr().add(i), v);
+        }
+        i += LANES;
+    }
+    f16_encode_scalar(&src[main..], &mut dst[main..]);
+}
+
+/// # Safety
+/// The CPU must support AVX2 and F16C, and `dst.len() >= src.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn f16_decode_f16c(src: &[F16], dst: &mut [f32]) {
+    let n = src.len();
+    let main = n - n % LANES;
+    let mut i = 0;
+    while i < main {
+        let v = _mm256_cvtph_ps(load_halves(src.as_ptr().add(i)));
+        _mm256_storeu_ps(dst.as_mut_ptr().add(i), v);
+        i += LANES;
+    }
+    f16_decode_scalar(&src[main..], &mut dst[main..]);
+}
+
+/// # Safety
+/// The CPU must support AVX2 and F16C, and `x.len() >= acc.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,f16c")]
+unsafe fn f16_add_f16c(acc: &mut [F16], x: &[F16]) {
+    let n = acc.len();
+    let main = n - n % LANES;
+    let mut i = 0;
+    while i < main {
+        let a = _mm256_cvtph_ps(load_halves(acc.as_ptr().add(i)));
+        let b = _mm256_cvtph_ps(load_halves(x.as_ptr().add(i)));
+        let sum = _mm256_add_ps(a, b);
+        if any_nan(sum) {
+            f16_add_scalar(&mut acc[i..i + LANES], &x[i..i + LANES]);
+        } else {
+            store_halves(acc.as_mut_ptr().add(i), sum);
+        }
+        i += LANES;
+    }
+    f16_add_scalar(&mut acc[main..], &x[main..]);
+}
+
+/// Encodes `src` to binary16 with round-to-nearest-even, bitwise-identical
+/// to [`f16_encode_scalar`] on every input (NaN blocks take the scalar
+/// path, see the module docs).
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn f16_encode(src: &[f32], dst: &mut [F16]) {
+    assert_eq!(src.len(), dst.len(), "f16_encode: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if use_f16c() {
+        // SAFETY: `use_f16c` checked AVX2 and F16C; lengths are equal.
+        return unsafe { f16_encode_f16c(src, dst) };
+    }
+    f16_encode_scalar(src, dst);
+}
+
+/// Decodes binary16 to `f32` (exact), bitwise-identical to
+/// [`f16_decode_scalar`] on every input: `VCVTPH2PS` quiets a NaN and
+/// keeps its payload exactly as the software conversion does.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn f16_decode(src: &[F16], dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "f16_decode: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if use_f16c() {
+        // SAFETY: `use_f16c` checked AVX2 and F16C; lengths are equal.
+        return unsafe { f16_decode_f16c(src, dst) };
+    }
+    f16_decode_scalar(src, dst);
+}
+
+/// The binary16 sum NCCL applies per hop: `acc[i] =
+/// F16::from_f32(acc[i].to_f32() + x[i].to_f32())`, bitwise-identical to
+/// [`f16_add_scalar`] on every input.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn f16_add(acc: &mut [F16], x: &[F16]) {
+    assert_eq!(acc.len(), x.len(), "f16_add: length mismatch");
+    #[cfg(target_arch = "x86_64")]
+    if use_f16c() {
+        // SAFETY: `use_f16c` checked AVX2 and F16C; lengths are equal.
+        return unsafe { f16_add_f16c(acc, x) };
+    }
+    f16_add_scalar(acc, x);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,6 +943,186 @@ mod tests {
             collect_indices_above(&keys, t, 5, &mut got);
             collect_indices_above_scalar(&keys, t, 5, &mut expect);
             assert_eq!(got, expect, "t={t:#x}");
+        }
+    }
+
+    fn half_bits(v: &[F16]) -> Vec<u16> {
+        v.iter().map(|h| h.0).collect()
+    }
+
+    fn f32_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Checks the dispatched [`f16_encode`] against its scalar reference
+    /// bit for bit.
+    fn check_encode(src: &[f32]) {
+        let mut got = vec![F16(0xdead); src.len()];
+        let mut want = vec![F16(0xbeef); src.len()];
+        f16_encode(src, &mut got);
+        f16_encode_scalar(src, &mut want);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.0, w.0, "encode {:#010x}", src[i].to_bits());
+        }
+    }
+
+    /// f32 inputs on the binary16 conversion's edges: signed zeros, f32
+    /// subnormals, the 2^-25 tie to zero and the values around it, the
+    /// smallest half subnormal 2^-24, the overflow boundary around 65520,
+    /// infinities and quiet and signalling NaNs of both signs.
+    fn encode_edges() -> Vec<f32> {
+        let tie = 2.0f32.powi(-25);
+        let mut v = vec![
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007f_ffff),
+            f32::from_bits(0x807f_ffff),
+            f32::MIN_POSITIVE,
+            tie,
+            -tie,
+            f32::from_bits(tie.to_bits() + 1),
+            f32::from_bits(tie.to_bits() - 1),
+            3.0 * tie,
+            2.0f32.powi(-24),
+            2.0f32.powi(-14),
+            2.0f32.powi(-14) - 2.0f32.powi(-24),
+            65504.0,
+            65519.0,
+            65519.996,
+            65520.0,
+            -65520.0,
+            1e6,
+            f32::MAX,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signalling
+            f32::from_bits(0xff80_0001), // signalling, negative
+            f32::from_bits(0x7fff_ffff),
+            f32::from_bits(0xffbf_ffff),
+        ];
+        // Every edge once more inside an all-finite 8-lane block.
+        let edges = v.clone();
+        for e in edges {
+            v.extend_from_slice(&[1.0, -2.5, e, 0.1, 3.0, 7.0, -0.0, 1e-5]);
+        }
+        v
+    }
+
+    #[test]
+    fn f16_decode_matches_scalar_on_every_half() {
+        let all: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+        let mut got = vec![0.0f32; all.len()];
+        let mut want = vec![1.0f32; all.len()];
+        f16_decode(&all, &mut got);
+        f16_decode_scalar(&all, &mut want);
+        assert_eq!(f32_bits(&got), f32_bits(&want));
+    }
+
+    #[test]
+    fn f16_encode_matches_scalar_on_edges_and_a_bit_pattern_sweep() {
+        let edges = encode_edges();
+        check_encode(&edges);
+        // Known answers on the boundaries, through the dispatched path.
+        let mut h = [F16::ZERO; 4];
+        f16_encode(
+            &[2.0f32.powi(-25), 2.0f32.powi(-24), 65519.0, 65520.0],
+            &mut h,
+        );
+        assert_eq!(half_bits(&h), [0x0000, 0x0001, 0x7bff, 0x7c00]);
+        // Every 97th f32 bit pattern, streamed in blocks.
+        let mut block = Vec::with_capacity(1 << 14);
+        let mut bits = 0u64;
+        while bits <= u32::MAX as u64 {
+            block.push(f32::from_bits(bits as u32));
+            if block.len() == block.capacity() {
+                check_encode(&block);
+                block.clear();
+            }
+            bits += 97;
+        }
+        check_encode(&block);
+    }
+
+    #[test]
+    fn f16_add_matches_scalar_on_every_half_against_edge_partners() {
+        let partners = [
+            0x0000u16, // +0
+            0x8000,    // -0
+            0x7c00,    // +inf
+            0xfc00,    // -inf
+            0x7e00,    // quiet NaN
+            0xfe01,    // negative quiet NaN, payload
+            0x7c01,    // signalling NaN
+            0x7bff,    // MAX (MAX + MAX -> inf)
+            0xfbff,    // -MAX
+            0x0001,    // smallest subnormal
+            0x83ff,    // largest negative subnormal
+            0x0400,    // smallest normal
+            0x3c00,    // 1.0
+            0xbc00,    // -1.0
+            0x6800,    // 2048 (2048 + 1 rounds back to 2048)
+        ];
+        let all: Vec<F16> = (0..=u16::MAX).map(F16).collect();
+        let mixed: Vec<F16> = (0..all.len())
+            .map(|i| F16(partners[i % partners.len()]))
+            .collect();
+        let uniform = partners.iter().map(|&p| vec![F16(p); all.len()]);
+        for x in uniform.chain(std::iter::once(mixed)) {
+            let mut got = all.clone();
+            let mut want = all.clone();
+            f16_add(&mut got, &x);
+            f16_add_scalar(&mut want, &x);
+            assert_eq!(half_bits(&got), half_bits(&want), "partner {:#06x}", x[0].0);
+        }
+        let mut acc = [F16::MAX];
+        f16_add(&mut acc, &[F16::MAX]);
+        assert_eq!(acc[0], F16::INFINITY);
+        let mut acc = [F16::NEG_INFINITY];
+        f16_add(&mut acc, &[F16::INFINITY]);
+        assert!(acc[0].is_nan());
+    }
+
+    #[test]
+    fn f16_kernels_match_scalar_on_every_tail_length() {
+        let src: Vec<f32> = encode_edges().into_iter().cycle().take(40).collect();
+        let halves: Vec<F16> = (0..40u16).map(|i| F16(i.wrapping_mul(0x9e37))).collect();
+        let partner: Vec<F16> = (0..40u16).map(|i| F16(i.wrapping_mul(0x79b9))).collect();
+        for len in 0..=37usize {
+            // Start one element in, so the vector loads are unaligned too.
+            let (src, halves, partner) = (&src[1..=len], &halves[1..=len], &partner[1..=len]);
+            let mut enc_want = vec![F16::ZERO; len];
+            let mut dec_want = vec![0.0f32; len];
+            let mut add_want = halves.to_vec();
+            f16_encode_scalar(src, &mut enc_want);
+            f16_decode_scalar(halves, &mut dec_want);
+            f16_add_scalar(&mut add_want, partner);
+            for threads in [1, 2, 4] {
+                for scalar in [false, true] {
+                    let mut enc = vec![F16(0xffff); len];
+                    let mut dec = vec![f32::NAN; len];
+                    let mut add = halves.to_vec();
+                    crate::parallel::with_threads(threads, || {
+                        let mut run = || {
+                            f16_encode(src, &mut enc);
+                            f16_decode(halves, &mut dec);
+                            f16_add(&mut add, partner);
+                        };
+                        if scalar {
+                            with_scalar_dispatch(run);
+                        } else {
+                            run();
+                        }
+                    });
+                    let at = format!("len={len} threads={threads} scalar={scalar}");
+                    assert_eq!(half_bits(&enc), half_bits(&enc_want), "encode {at}");
+                    assert_eq!(f32_bits(&dec), f32_bits(&dec_want), "decode {at}");
+                    assert_eq!(half_bits(&add), half_bits(&add_want), "add {at}");
+                }
+            }
         }
     }
 }

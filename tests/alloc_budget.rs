@@ -21,6 +21,7 @@ use gradient_utility::collectives::{
     Traffic,
 };
 use gradient_utility::core::scheme::{AggregationOutcome, CompressionScheme, RoundContext};
+use gradient_utility::core::schemes::baseline::PrecisionBaseline;
 use gradient_utility::core::schemes::powersgd::PowerSgd;
 use gradient_utility::core::schemes::thc::{Thc, ThcAggregation};
 use gradient_utility::core::schemes::topk::TopK;
@@ -252,6 +253,16 @@ fn thc_round_steady_state_is_allocation_free() {
             let mut s = Thc::new(4, RotationMode::Full, agg, N);
             let events = scheme_steady_events(&mut s, N, D);
             assert_eq!(events, 0, "THC({agg:?}) round must not allocate");
+        }
+    });
+}
+
+#[test]
+fn precision_baseline_round_steady_state_is_allocation_free() {
+    with_threads(1, || {
+        for mut s in [PrecisionBaseline::fp16(), PrecisionBaseline::fp32()] {
+            let events = scheme_steady_events(&mut s, N, D);
+            assert_eq!(events, 0, "{} round must not allocate", s.name());
         }
     });
 }

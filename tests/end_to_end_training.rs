@@ -8,6 +8,7 @@ use gradient_utility::core::schemes::topkc::TopKC;
 use gradient_utility::ddp::experiments::Task;
 use gradient_utility::ddp::{param_checksum, Trainer, TrainerConfig};
 use gradient_utility::gpusim::DeviceSpec;
+use gradient_utility::tensor::simd::with_scalar_dispatch;
 
 fn short_cfg(task: Task, rounds: u64) -> TrainerConfig {
     TrainerConfig {
@@ -140,4 +141,35 @@ fn bert_topkc_run_is_bitwise_pinned() {
         0x4046_b87f_8ba9_3589,
         "final metric bits moved"
     );
+}
+
+/// The FP16 baseline's counterpart of [`bert_topkc_run_is_bitwise_pinned`]:
+/// binary16 encode, per-hop binary16 sums and decode must land on these
+/// bits on the F16C path and on the software conversions alike, at any
+/// `GCS_THREADS`.
+#[test]
+fn bert_fp16_run_is_bitwise_pinned() {
+    let run = || {
+        let task = Task::Bert;
+        let cfg = TrainerConfig {
+            max_rounds: 60,
+            eval_every: 5,
+            ..task.trainer_config()
+        };
+        let mut model = task.build_model(cfg.seed);
+        let mut scheme = PrecisionBaseline::fp16();
+        let log = Trainer::new(cfg).train(model.as_mut(), &mut scheme, 1.0);
+        (param_checksum(model.as_ref()), log.final_metric.to_bits())
+    };
+    for (path, (checksum, metric)) in [("dispatched", run()), ("scalar", with_scalar_dispatch(run))]
+    {
+        assert_eq!(
+            checksum, 0x33ad_d093_1ece_1b12,
+            "{path}: param_checksum moved"
+        );
+        assert_eq!(
+            metric, 0x4045_fd0c_bb72_edd3,
+            "{path}: final metric bits moved"
+        );
+    }
 }
